@@ -53,6 +53,35 @@ func TestStaticATMBitExactReuse(t *testing.T) {
 	}
 }
 
+// TestTotalsSumStats: Totals equals the per-type Stats counters summed
+// over types, and costs no allocation.
+func TestTotalsSumStats(t *testing.T) {
+	memo := New(Config{Mode: ModeStatic})
+	rt := taskrt.New(taskrt.Config{Workers: 2, Memoizer: memo})
+	defer rt.Close()
+	for _, name := range []string{"double", "acme/double"} {
+		tt := rt.RegisterType(taskrt.TypeConfig{Name: name, Memoize: true, Run: doubler})
+		in := region.NewFloat64(16)
+		for i := 0; i < 5; i++ {
+			rt.Submit(tt, taskrt.In(in), taskrt.Out(region.NewFloat64(16)))
+		}
+	}
+	rt.Wait()
+	var want Totals
+	for _, ts := range memo.Stats().Types {
+		want.Tasks += ts.Tasks
+		want.Executed += ts.Executed
+		want.MemoizedTHT += ts.MemoizedTHT
+		want.MemoizedIKT += ts.MemoizedIKT
+	}
+	if got := memo.Totals(); got != want || want.Tasks != 10 {
+		t.Fatalf("Totals() = %+v, summed Stats = %+v (want 10 tasks)", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { memo.Totals() }); n != 0 {
+		t.Fatalf("Totals allocates %v times per call", n)
+	}
+}
+
 func TestStaticATMDistinguishesDifferentInputs(t *testing.T) {
 	memo := New(Config{Mode: ModeStatic})
 	rt := taskrt.New(taskrt.Config{Workers: 1, Memoizer: memo})

@@ -143,6 +143,37 @@ func (a *ATM) Stats() Stats {
 	return st
 }
 
+// Totals is the sum over all task types of the four per-type task
+// counters Stats reports.
+type Totals struct {
+	Tasks, Executed, MemoizedTHT, MemoizedIKT int64
+}
+
+// Totals sums the per-worker shards of every type's task counters, the
+// same numbers Stats folds into Types, without allocating: a caller
+// diffing two calls around a batch (the service's per-batch breakdown)
+// pays four atomic loads per shard instead of a full Stats walk.
+func (a *ATM) Totals() Totals {
+	var t Totals
+	sl := a.typeStates.Load()
+	if sl == nil {
+		return t
+	}
+	for _, ts := range *sl {
+		if ts == nil {
+			continue
+		}
+		for i := range ts.shards {
+			sh := &ts.shards[i]
+			t.Tasks += sh.tasks.Load()
+			t.Executed += sh.executed.Load()
+			t.MemoizedTHT += sh.memoTHT.Load()
+			t.MemoizedIKT += sh.memoIKT.Load()
+		}
+	}
+	return t
+}
+
 // ChosenLevel reports the current p level of a task type and whether its
 // training has completed (the star markers of Fig. 5).
 func (a *ATM) ChosenLevel(tt *taskrt.TaskType) (level int, steady bool) {

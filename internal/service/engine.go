@@ -571,17 +571,11 @@ func (e *Engine) loop() {
 
 // statsSum folds the ATM per-type counters the group diff needs.
 func (e *Engine) statsSum() GroupStats {
-	var g GroupStats
 	if e.memo == nil {
-		return g
+		return GroupStats{}
 	}
-	for _, ts := range e.memo.Stats().Types {
-		g.Tasks += ts.Tasks
-		g.Executed += ts.Executed
-		g.MemoTHT += ts.MemoizedTHT
-		g.MemoIKT += ts.MemoizedIKT
-	}
-	return g
+	t := e.memo.Totals()
+	return GroupStats{Tasks: t.Tasks, Executed: t.Executed, MemoTHT: t.MemoizedTHT, MemoIKT: t.MemoizedIKT}
 }
 
 // runGroup coalesces the first request with whatever else is already

@@ -57,7 +57,9 @@ type taskSpec struct {
 	Seed   uint64    `json:"seed,omitempty"`
 }
 
-// submitResponse is the JSON submit reply.
+// submitResponse is the JSON submit reply. appendSubmitResponse writes
+// it without reflection; its encoding/json form is the reference the
+// tests hold that writer to.
 type submitResponse struct {
 	Results []taskResult   `json:"results"`
 	Batch   batchBreakdown `json:"batch"`
@@ -239,10 +241,30 @@ func (s *Server) instrument(route string, lat *metrics.Histogram, h http.Handler
 	}
 }
 
+// writeJSON encodes v before anything is written, so a value JSON
+// cannot carry (a NaN or ±Inf output) answers 500 with an error body
+// instead of a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeEncodeError is the reply to a failed response encoding.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "service: encode reply: " + err.Error()})
+}
+
+func writeBody(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is no one left to
+	// tell.
+	_, _ = w.Write(b)
 }
 
 // writeError maps engine errors onto the HTTP status contract:
@@ -289,11 +311,12 @@ func (s *Server) resolve(i int, spec taskSpec, defTenant string) (Task, error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	buf, err := readBody(w, r)
 	if err != nil {
 		writeError(w, &BadTaskError{msg: "body: " + err.Error()})
 		return
 	}
+	body := buf.Bytes()
 	var tasks []Task
 	ct := r.Header.Get("Content-Type")
 	defTenant := r.Header.Get("X-ATM-Tenant")
@@ -305,20 +328,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			tasks[i].Tenant = defTenant
 		}
 	} else {
-		var req submitRequest
-		if jerr := json.Unmarshal(body, &req); jerr != nil {
-			err = &BadTaskError{msg: "malformed JSON body: " + jerr.Error()}
-		} else {
-			tasks = make([]Task, 0, len(req.Tasks))
-			for i, spec := range req.Tasks {
-				var t Task
-				if t, err = s.resolve(i, spec, defTenant); err != nil {
-					break
-				}
-				tasks = append(tasks, t)
+		specs, ok := s.decodeSubmitJSON(body)
+		if !ok {
+			// Outside the fast path's shape: the reference decoder
+			// decides, with encoding/json's own error text.
+			var req submitRequest
+			if jerr := json.Unmarshal(body, &req); jerr != nil {
+				err = &BadTaskError{msg: "malformed JSON body: " + jerr.Error()}
 			}
+			specs = req.Tasks
+		}
+		if err == nil {
+			tasks, err = s.resolveAll(specs, defTenant)
 		}
 	}
+	putBuffer(buf)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -328,14 +352,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp := submitResponse{
-		Results: make([]taskResult, len(outs)),
-		Batch:   batchBreakdown{Tasks: g.Tasks, Executed: g.Executed, MemoTHT: g.MemoTHT, MemoIKT: g.MemoIKT},
+	reply := replyPool.Get().(*[]byte)
+	defer putReply(reply)
+	b, err := appendSubmitResponse((*reply)[:0], outs, g)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
 	}
-	for i, o := range outs {
-		resp.Results[i] = taskResult{Output: o}
+	*reply = b
+	writeBody(w, http.StatusOK, b)
+}
+
+// resolveAll resolves decoded task specs in order, stopping at the
+// first error.
+func (s *Server) resolveAll(specs []taskSpec, defTenant string) ([]Task, error) {
+	tasks := make([]Task, 0, len(specs))
+	for i, spec := range specs {
+		t, err := s.resolve(i, spec, defTenant)
+		if err != nil {
+			return nil, err
+		}
+		tasks = append(tasks, t)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return tasks, nil
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
@@ -573,7 +612,10 @@ func decodeBinaryTasks(body []byte) ([]Task, error) {
 		return nil, bad(fmt.Sprintf("implausible task count %d", n))
 	}
 	off := 4
-	tasks := make([]Task, 0, n)
+	// tasks grows by append: n is not validated until the tasks are
+	// read, and presizing from it would let a few bytes claim a huge
+	// allocation.
+	var tasks []Task
 	for i := uint32(0); i < n; i++ {
 		if off >= len(body) {
 			return nil, bad("truncated kind length")
